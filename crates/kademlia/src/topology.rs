@@ -704,11 +704,13 @@ impl Topology {
     /// refills each affected bucket with the closest eligible live peer so
     /// the "full whenever candidates exist" invariant survives.
     ///
-    /// Each refill is answered by a trie descent over the matching
-    /// exact-proximity subtree, so a departure costs
-    /// `O(holders × k × bits)` — the node's typical in-degree is a few
-    /// dozen — instead of the `O(n²)` of a full rebuild or the former
-    /// `O(holders × n)` candidate scan.
+    /// Each refill is one descent of the address trie that enters the
+    /// nearer child only when its live count exceeds the bucket entries
+    /// under it, so it never backtracks over peers the bucket already
+    /// lists. That is `O(bits × k)` per refill, and `O(1)` when the bucket
+    /// already holds every live candidate, so a departure costs
+    /// `O(holders × bits × k)` — the node's typical in-degree is a few
+    /// dozen — whatever the population or subtree sizes.
     ///
     /// # Errors
     ///
@@ -757,8 +759,7 @@ impl Topology {
         }
 
         // The departed node drops all of its own connections.
-        let peers: Vec<u32> = self.arena.node_peers(index).collect();
-        for peer in peers {
+        for peer in self.arena.node_peers(index) {
             knowers_remove(&mut self.knowers[peer as usize], index as u32);
         }
         self.arena.clear_node(index);
@@ -769,6 +770,16 @@ impl Topology {
     /// address: rebuilds its routing table from the live population
     /// (closest-per-bucket selection) and inserts it into every live
     /// bucket with spare capacity, restoring the fullness invariant.
+    ///
+    /// One trie descent along the joiner's path serves both halves. The
+    /// table fill walks the `min(k, live)` nearest peers of each sibling
+    /// subtree. The advertise step skips depth `b` outright when the
+    /// joiner's own side already held `capacities[b]` live nodes — every
+    /// owner across the split is then full, by the invariant
+    /// [`Topology::validate`] checks — and otherwise links the joiner into
+    /// every live owner there, each of which has room. A join therefore
+    /// costs `O(bits × k × bits)` plus `O(bits)` per new inbound link,
+    /// never a scan of the population.
     ///
     /// # Errors
     ///
@@ -786,65 +797,56 @@ impl Topology {
         self.live_count += 1;
         let joiner_addr = self.addresses[index];
         self.trie.set_live(joiner_addr, true);
+        let path = self.trie.path(joiner_addr);
 
         // 1. Rebuild the joiner's own table from the live population.
-        Self::fill_table_closest(
-            &mut self.arena,
-            &self.trie,
-            &self.addresses,
-            self.space,
-            index,
-        );
-        let peers: Vec<u32> = self.arena.node_peers(index).collect();
-        for peer in peers {
+        Self::fill_table_closest(&mut self.arena, &self.trie, &self.addresses, &path, index);
+        for peer in self.arena.node_peers(index) {
             knowers_insert(&mut self.knowers[peer as usize], index as u32);
         }
 
         // 2. Advertise the joiner to the rest of the overlay: every live
         //    node with spare capacity in the matching bucket links to it.
-        for owner in 0..self.addresses.len() {
-            if owner == index || !self.live[owner] {
+        //    An owner across the split at depth `b` has proximity `b` to
+        //    the joiner, and its bucket `b` candidates are the joiner's own
+        //    side, whose live count (less the joiner) fixes its occupancy.
+        let mut knowers = std::mem::take(&mut self.knowers[index]);
+        debug_assert!(knowers.is_empty(), "an offline node has no knowers");
+        for (bucket, &capacity) in self.capacities.iter().enumerate() {
+            let sibling = path.sibling[bucket];
+            if sibling == NIL || (path.own_live[bucket] - 1) as usize >= capacity {
                 continue;
             }
-            let bucket = self
-                .space
-                .proximity(self.addresses[owner], joiner_addr)
-                .bucket_index();
-            if self
-                .arena
-                .insert(owner, bucket, index as u32, joiner_addr.raw())
+            for owner in self
+                .trie
+                .nearest_live(sibling, bucket as u32 + 1, joiner_addr)
             {
-                knowers_insert(&mut self.knowers[index], owner as u32);
+                let inserted = self
+                    .arena
+                    .insert(owner, bucket, index as u32, joiner_addr.raw());
+                debug_assert!(inserted, "an under-full owner must accept the joiner");
+                knowers.push(owner as u32);
             }
         }
+        knowers.sort_unstable();
+        self.knowers[index] = knowers;
         Ok(())
     }
 
     /// The closest eligible live peer for `owner`'s bucket `bucket`, if any:
     /// live, not the owner, proximity exactly `bucket`, not already listed.
     ///
-    /// Answered by descending the exact-proximity subtree of the address
-    /// trie in ascending XOR distance and returning the first peer the
-    /// bucket does not already hold — `O(k × bits)` against the former
-    /// whole-population scan.
+    /// One count-pruned descent of the exact-proximity subtree,
+    /// `O(bits × k)`; see [`AddressTrie::nearest_live_outside`].
     fn refill_candidate(&self, owner: usize, bucket: usize) -> Option<usize> {
         let owner_addr = self.addresses[owner];
         let subtree = self.trie.sibling_subtree(owner_addr, bucket as u32)?;
-        let mut found = None;
-        self.trie.visit_nearest_live(
-            subtree,
-            bucket as u32 + 1,
-            owner_addr,
-            &mut |peer: usize| {
-                if self.arena.contains(owner, bucket, peer as u32) {
-                    true
-                } else {
-                    found = Some(peer);
-                    false
-                }
-            },
-        );
-        found
+        // The subtree's first `bucket + 1` address bits: the owner's, with
+        // the last one flipped.
+        let prefix = (owner_addr.raw() >> (owner_addr.bits() - 1 - bucket as u32)) ^ 1;
+        let (_, members) = self.arena.bucket_entries(owner, bucket);
+        self.trie
+            .nearest_live_outside(subtree, bucket as u32 + 1, prefix, owner_addr, members)
     }
 
     /// Refills `owner`'s buckets in place from the current live
@@ -854,37 +856,36 @@ impl Topology {
     /// [`Topology::rebuilt_naive`] so the two maintenance paths can never
     /// drift apart in selection policy.
     ///
-    /// The candidates of bucket `b` live in one trie subtree (the owner's
-    /// sibling at depth `b`), which is walked in ascending XOR distance, so
-    /// filling a whole table costs `O(bits × k × bits)` instead of a full
-    /// population scan. An associated function over split borrows because
-    /// it writes the arena while walking the trie.
+    /// The candidates of bucket `b` are the sibling subtree at depth `b` of
+    /// the owner's trie `path`, each walked nearest-first, so filling a
+    /// whole table costs `O(bits × k × bits)` instead of a population scan.
+    /// An associated function over split borrows because it writes the
+    /// arena while walking the trie.
     fn fill_table_closest(
         arena: &mut TableArena,
         trie: &AddressTrie,
         addresses: &[OverlayAddress],
-        space: AddressSpace,
+        path: &TriePath,
         owner: usize,
     ) {
         arena.clear_node(owner);
         let owner_addr = addresses[owner];
-        for bucket in 0..space.bits() {
-            let Some(subtree) = trie.sibling_subtree(owner_addr, bucket) else {
-                continue;
-            };
-            // Reserved slots are min(capacity, all-time candidates), the
-            // exact occupancy bound — live candidates can only be fewer.
-            let mut remaining = arena.bucket_reserved(owner, bucket as usize);
-            if remaining == 0 {
+        for bucket in 0..owner_addr.bits() {
+            let sibling = path.sibling[bucket as usize];
+            if sibling == NIL {
                 continue;
             }
-            trie.visit_nearest_live(subtree, bucket + 1, owner_addr, &mut |peer: usize| {
+            // Reserved slots are min(capacity, all-time candidates), the
+            // exact occupancy bound — live candidates can only be fewer.
+            let reserved = arena.bucket_reserved(owner, bucket as usize);
+            for peer in trie
+                .nearest_live(sibling, bucket + 1, owner_addr)
+                .take(reserved)
+            {
                 let inserted =
                     arena.insert(owner, bucket as usize, peer as u32, addresses[peer].raw());
                 debug_assert!(inserted, "candidate must fit its bucket");
-                remaining -= 1;
-                remaining > 0
-            });
+            }
         }
     }
 
@@ -902,12 +903,11 @@ impl Topology {
         let Some(subtree) = self.trie.prefix_subtree(anchor, prefix_bits) else {
             return Vec::new();
         };
-        let mut nodes = Vec::new();
-        self.trie
-            .visit_nearest_live(subtree, prefix_bits, anchor, &mut |peer: usize| {
-                nodes.push(NodeId(peer));
-                true
-            });
+        let mut nodes: Vec<NodeId> = self
+            .trie
+            .nearest_live(subtree, prefix_bits, anchor)
+            .map(NodeId)
+            .collect();
         nodes.sort_unstable();
         nodes
     }
@@ -919,16 +919,11 @@ impl Topology {
     /// "the nodes responsible for (closest to) this popular address". A
     /// trie walk in exact distance order, `O(count × bits)`.
     pub fn closest_live_nodes(&self, target: OverlayAddress, count: usize) -> Vec<NodeId> {
-        let mut nodes = Vec::with_capacity(count);
-        if count == 0 {
-            return nodes;
-        }
         self.trie
-            .visit_nearest_live(0, 0, target, &mut |peer: usize| {
-                nodes.push(NodeId(peer));
-                nodes.len() < count
-            });
-        nodes
+            .nearest_live(0, 0, target)
+            .take(count)
+            .map(NodeId)
+            .collect()
     }
 
     /// The `count` live nodes with the highest scores, ranked descending
@@ -973,7 +968,7 @@ impl Topology {
                     &mut rebuilt.arena,
                     &self.trie,
                     &self.addresses,
-                    self.space,
+                    &self.trie.path(self.addresses[owner]),
                     owner,
                 );
             } else {
@@ -1075,11 +1070,12 @@ impl Topology {
 /// Beyond global closest-node queries, the trie answers the routing-table
 /// maintenance queries that used to need population scans: the peers at
 /// proximity exactly `b` from an address are one subtree
-/// ([`AddressTrie::sibling_subtree`]), and
-/// [`AddressTrie::visit_nearest_live`] walks any subtree in ascending XOR
-/// distance. Trie nodes are a compact 16-byte representation (`u32` child
-/// indices with a sentinel) so million-node tries stay cache- and
-/// memory-friendly.
+/// ([`AddressTrie::sibling_subtree`]), [`AddressTrie::nearest_live`] walks
+/// any subtree in ascending XOR distance, and
+/// [`AddressTrie::nearest_live_outside`] finds a bucket's refill without
+/// visiting the peers it already holds. Trie nodes are a compact 16-byte
+/// representation (`u32` child indices with a sentinel) so million-node
+/// tries stay cache- and memory-friendly.
 #[derive(Debug, Clone)]
 struct AddressTrie {
     space: AddressSpace,
@@ -1329,40 +1325,171 @@ impl AddressTrie {
         }
     }
 
-    /// Visits the live node indices stored under `subtree` (whose root sits
-    /// at `depth`) in ascending XOR distance from `target`, stopping as
-    /// soon as `visit` returns `false`.
+    /// `addr`'s root-to-leaf path, one entry per depth; see [`TriePath`].
+    /// `addr` must be stored in the trie.
+    fn path(&self, addr: OverlayAddress) -> TriePath {
+        let mut path = TriePath {
+            sibling: [NIL; 64],
+            own_live: [0; 64],
+        };
+        let mut current = 0usize;
+        for depth in 0..self.space.bits() {
+            current = match &self.nodes[current] {
+                TrieNode::Branch { zero, one, .. } => {
+                    let (own, other) = if addr.bit(depth) {
+                        (*one, *zero)
+                    } else {
+                        (*zero, *one)
+                    };
+                    debug_assert_ne!(own, NIL, "address was inserted at build time");
+                    path.sibling[depth as usize] = other;
+                    path.own_live[depth as usize] = self.subtree_live(own);
+                    own as usize
+                }
+                TrieNode::Leaf { .. } => unreachable!("leaves only exist at full depth"),
+            };
+        }
+        path
+    }
+
+    /// The live node indices stored under `subtree` (whose root sits at
+    /// `depth`) in ascending XOR distance from `target`.
     ///
     /// The preferred-bit-first descent enumerates leaves in exact distance
-    /// order, so "the closest live peer not in this set" and "the k closest
-    /// live peers" are both O(answer × bits) walks.
-    fn visit_nearest_live(
+    /// order, so "the k closest live peers" is an `O(k × bits)` walk.
+    fn nearest_live(&self, subtree: u32, depth: u32, target: OverlayAddress) -> NearestLive<'_> {
+        let mut walk = NearestLive {
+            trie: self,
+            target,
+            pending: [(NIL, 0); 65],
+            len: 0,
+        };
+        if self.subtree_live(subtree) > 0 {
+            walk.pending[0] = (subtree, depth);
+            walk.len = 1;
+        }
+        walk
+    }
+
+    /// The live node under `subtree` nearest (XOR) to `target` that is not
+    /// one of `members`, if any.
+    ///
+    /// `subtree`'s root sits at `depth`, and `prefix` holds its addresses'
+    /// first `depth` bits. Every raw in `members` must be a distinct live
+    /// address inside the subtree — a bucket's current entries. At each
+    /// branch the walk compares the preferred child's live count with how
+    /// many members share that child's prefix, and enters it only when it
+    /// holds a live non-member. The walk therefore never backtracks: it
+    /// costs `O(bits × members)`, and `O(1)` when the subtree's live nodes
+    /// are all members.
+    fn nearest_live_outside(
         &self,
         subtree: u32,
         depth: u32,
+        prefix: u64,
         target: OverlayAddress,
-        visit: &mut dyn FnMut(usize) -> bool,
-    ) -> bool {
-        match &self.nodes[subtree as usize] {
-            TrieNode::Leaf { node, live } => !*live || visit(*node as usize),
-            TrieNode::Branch { zero, one, live } => {
-                if *live == 0 {
-                    return true;
+        members: &[u64],
+    ) -> Option<usize> {
+        // Members inside the current subtree; all of them are live.
+        let mut inside = members.len() as u32;
+        if self.subtree_live(subtree) <= inside {
+            return None;
+        }
+        let bits = self.space.bits();
+        let mut current = subtree;
+        let mut prefix = prefix;
+        for d in depth..bits {
+            let TrieNode::Branch { zero, one, .. } = self.nodes[current as usize] else {
+                unreachable!("leaves only exist at full depth");
+            };
+            let bit = target.bit(d);
+            let (preferred, fallback) = if bit { (one, zero) } else { (zero, one) };
+            let preferred_prefix = (prefix << 1) | u64::from(bit);
+            let shift = bits - 1 - d;
+            let in_preferred = if inside == 0 {
+                0
+            } else {
+                members
+                    .iter()
+                    .filter(|&&raw| raw >> shift == preferred_prefix)
+                    .count() as u32
+            };
+            // Invariant: `current` holds more live nodes than members, so
+            // when the preferred child does not, the fallback does.
+            if preferred != NIL && self.subtree_live(preferred) > in_preferred {
+                current = preferred;
+                prefix = preferred_prefix;
+                inside = in_preferred;
+            } else {
+                current = fallback;
+                prefix = preferred_prefix ^ 1;
+                inside -= in_preferred;
+            }
+        }
+        match self.nodes[current as usize] {
+            TrieNode::Leaf { node, live } => {
+                debug_assert!(live && inside == 0, "descent must end on a live non-member");
+                Some(node as usize)
+            }
+            TrieNode::Branch { .. } => unreachable!("walked past all bits"),
+        }
+    }
+}
+
+/// One stored address's root-to-leaf trie path, indexed by depth `d`:
+/// `sibling[d]` roots the subtree of addresses at proximity exactly `d`
+/// from it ([`NIL`] when none diverges there), and `own_live[d]` counts the
+/// live addresses sharing its first `d + 1` bits, itself included.
+struct TriePath {
+    sibling: [u32; 64],
+    own_live: [u32; 64],
+}
+
+/// Iterator behind [`AddressTrie::nearest_live`]: a preferred-bit-first
+/// descent with an explicit stack of deferred fallback subtrees.
+struct NearestLive<'a> {
+    trie: &'a AddressTrie,
+    target: OverlayAddress,
+    /// Deferred `(subtree, depth)` pairs, nearest on top; every entry holds
+    /// a live node. Depths strictly increase up the stack, so it never
+    /// holds more than `bits + 1` entries.
+    pending: [(u32, u32); 65],
+    len: usize,
+}
+
+impl Iterator for NearestLive<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        let (mut current, mut depth) = self.pending[self.len];
+        loop {
+            match self.trie.nodes[current as usize] {
+                TrieNode::Leaf { node, live } => {
+                    debug_assert!(live, "only live subtrees are entered");
+                    return Some(node as usize);
                 }
-                let (preferred, fallback) = if target.bit(depth) {
-                    (*one, *zero)
-                } else {
-                    (*zero, *one)
-                };
-                for child in [preferred, fallback] {
-                    if child != NIL
-                        && self.subtree_live(child) > 0
-                        && !self.visit_nearest_live(child, depth + 1, target, visit)
-                    {
-                        return false;
-                    }
+                TrieNode::Branch { zero, one, .. } => {
+                    let (preferred, fallback) = if self.target.bit(depth) {
+                        (one, zero)
+                    } else {
+                        (zero, one)
+                    };
+                    let has_live = |child: u32| child != NIL && self.trie.subtree_live(child) > 0;
+                    depth += 1;
+                    current = if has_live(preferred) {
+                        if has_live(fallback) {
+                            self.pending[self.len] = (fallback, depth);
+                            self.len += 1;
+                        }
+                        preferred
+                    } else {
+                        fallback
+                    };
                 }
-                true
             }
         }
     }
@@ -1370,6 +1497,8 @@ impl AddressTrie {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn space(bits: u32) -> AddressSpace {
@@ -1815,5 +1944,192 @@ mod tests {
         assert_eq!(all.len(), 49);
         // NaN ranks last.
         assert_eq!(all.last().copied(), Some(NodeId(9)));
+    }
+
+    // ---- churn maintenance against the reference walks -----------------
+
+    /// The recursive nearest-first walk the maintenance layer used before
+    /// the count-pruned descent: visits the live leaves under `subtree`
+    /// (root at `depth`) in ascending XOR distance from `target` until
+    /// `visit` returns `false`.
+    fn reference_walk(
+        trie: &AddressTrie,
+        subtree: u32,
+        depth: u32,
+        target: OverlayAddress,
+        visit: &mut dyn FnMut(usize) -> bool,
+    ) -> bool {
+        match &trie.nodes[subtree as usize] {
+            TrieNode::Leaf { node, live } => !*live || visit(*node as usize),
+            TrieNode::Branch { zero, one, live } => {
+                if *live == 0 {
+                    return true;
+                }
+                let (preferred, fallback) = if target.bit(depth) {
+                    (*one, *zero)
+                } else {
+                    (*zero, *one)
+                };
+                for child in [preferred, fallback] {
+                    if child != NIL
+                        && trie.subtree_live(child) > 0
+                        && !reference_walk(trie, child, depth + 1, target, visit)
+                    {
+                        return false;
+                    }
+                }
+                true
+            }
+        }
+    }
+
+    /// Reference departure: each holder's bucket is refilled by walking its
+    /// sibling subtree nearest-first and rejecting the bucket's members one
+    /// `contains` at a time.
+    fn reference_remove(t: &mut Topology, index: usize) {
+        t.live[index] = false;
+        t.live_count -= 1;
+        t.trie.set_live(t.addresses[index], false);
+        for owner in std::mem::take(&mut t.knowers[index]) {
+            let owner = owner as usize;
+            let owner_addr = t.addresses[owner];
+            let bucket = t
+                .space
+                .proximity(owner_addr, t.addresses[index])
+                .bucket_index();
+            assert!(t.arena.remove(owner, bucket, index as u32));
+            let mut found = None;
+            if let Some(subtree) = t.trie.sibling_subtree(owner_addr, bucket as u32) {
+                reference_walk(
+                    &t.trie,
+                    subtree,
+                    bucket as u32 + 1,
+                    owner_addr,
+                    &mut |peer| {
+                        if t.arena.contains(owner, bucket, peer as u32) {
+                            true
+                        } else {
+                            found = Some(peer);
+                            false
+                        }
+                    },
+                );
+            }
+            if let Some(peer) = found {
+                assert!(t
+                    .arena
+                    .insert(owner, bucket, peer as u32, t.addresses[peer].raw()));
+                knowers_insert(&mut t.knowers[peer], owner as u32);
+            }
+        }
+        let peers: Vec<u32> = t.arena.node_peers(index).collect();
+        for peer in peers {
+            knowers_remove(&mut t.knowers[peer as usize], index as u32);
+        }
+        t.arena.clear_node(index);
+    }
+
+    /// Reference join: one sibling-subtree descent and recursive walk per
+    /// bucket for the fill, then a scan of every live owner for the
+    /// advertise.
+    fn reference_add(t: &mut Topology, index: usize) {
+        t.live[index] = true;
+        t.live_count += 1;
+        let joiner = t.addresses[index];
+        t.trie.set_live(joiner, true);
+        t.arena.clear_node(index);
+        for bucket in 0..t.space.bits() {
+            let Some(subtree) = t.trie.sibling_subtree(joiner, bucket) else {
+                continue;
+            };
+            let mut remaining = t.arena.bucket_reserved(index, bucket as usize);
+            let (arena, addresses) = (&mut t.arena, &t.addresses);
+            reference_walk(&t.trie, subtree, bucket + 1, joiner, &mut |peer| {
+                assert!(arena.insert(index, bucket as usize, peer as u32, addresses[peer].raw()));
+                remaining -= 1;
+                remaining > 0
+            });
+        }
+        let peers: Vec<u32> = t.arena.node_peers(index).collect();
+        for peer in peers {
+            knowers_insert(&mut t.knowers[peer as usize], index as u32);
+        }
+        for owner in 0..t.addresses.len() {
+            if owner == index || !t.live[owner] {
+                continue;
+            }
+            let bucket = t.space.proximity(t.addresses[owner], joiner).bucket_index();
+            if t.arena.insert(owner, bucket, index as u32, joiner.raw()) {
+                knowers_insert(&mut t.knowers[index], owner as u32);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Over random join/leave interleavings — a mixed phase, a drain to
+        /// the live floor and a regrowth — the count-pruned refill, the
+        /// capacity-bounded advertise and the one-descent fill choose
+        /// exactly the reference walks' peers, in the same bucket order.
+        #[test]
+        fn churn_maintenance_matches_the_reference_walks(
+            bits in 8u32..=16,
+            k in 1usize..=8,
+            overridden in (0u32..4, 1usize..=12),
+            nodes in 6usize..=90,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (override_bucket, override_k) = overridden;
+            // Odd seeds run uniform buckets, even ones a per-bucket
+            // override (the advertise bound reads every capacity).
+            let sizing = if seed % 2 == 0 {
+                BucketSizing::uniform(k).with_override(override_bucket, override_k)
+            } else {
+                BucketSizing::uniform(k)
+            };
+            let mut fast = TopologyBuilder::new(space(bits))
+                .nodes(nodes)
+                .bucket_sizing(sizing)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let mut reference = fast.clone();
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mut floor_hits = 0;
+            for (phase, remove_weight) in [(0, 50u32), (1, 90), (2, 15)] {
+                for _ in 0..nodes * 2 {
+                    let live: Vec<usize> = fast.live_ids().map(|n| n.index()).collect();
+                    let offline: Vec<usize> =
+                        (0..nodes).filter(|&i| !fast.is_live(NodeId(i))).collect();
+                    let remove =
+                        offline.is_empty() || rng.gen_range(0..100u32) < remove_weight;
+                    if remove {
+                        let victim = live[rng.gen_range(0..live.len())];
+                        if live.len() <= 2 {
+                            floor_hits += 1;
+                            prop_assert_eq!(
+                                fast.remove_node(NodeId(victim)),
+                                Err(KademliaError::TooFewLiveNodes { live: 2 })
+                            );
+                            continue;
+                        }
+                        fast.remove_node(NodeId(victim)).unwrap();
+                        reference_remove(&mut reference, victim);
+                    } else {
+                        let joiner = offline[rng.gen_range(0..offline.len())];
+                        fast.add_node(NodeId(joiner)).unwrap();
+                        reference_add(&mut reference, joiner);
+                    }
+                    prop_assert!(
+                        fast.tables().eq(reference.tables()),
+                        "phase {phase}: tables diverged"
+                    );
+                    prop_assert_eq!(&fast.knowers, &reference.knowers);
+                    prop_assert_eq!(fast.validate(), Ok(()));
+                }
+            }
+            prop_assert!(floor_hits > 0, "the drain must reach the live floor");
+        }
     }
 }

@@ -184,3 +184,25 @@ fn invalid_and_unknown_requests_get_structured_errors() {
     assert_eq!(summary.jobs, 0);
     assert_eq!(summary.rejected, 0);
 }
+
+#[test]
+fn deeply_nested_submit_gets_an_error_and_the_service_survives() {
+    let server = TestServer::start(1, 4);
+    let mut client = Client::new(server.addr);
+
+    // Half a megabyte of `[`: within the body limit, far past the JSON
+    // nesting limit. Unbounded recursion used to overflow the stack here
+    // and abort the whole process.
+    let nested = client
+        .request("POST", "/submit", "[".repeat(500_000).as_bytes())
+        .expect("submit");
+    assert_eq!(nested.status, 400, "{}", nested.text());
+    let error = nested.json_str("error").expect("a JSON error body");
+    assert!(error.contains("recursion limit"), "{error}");
+
+    let health = client.request("GET", "/health", b"").expect("health");
+    assert_eq!(health.status, 200, "{}", health.text());
+
+    let summary = server.stop();
+    assert_eq!(summary.jobs, 0);
+}
