@@ -1,12 +1,13 @@
 //! K-bucket views: fixed-capacity groups of peers at one proximity order.
 //!
 //! Buckets no longer own storage — entries live in the topology's
-//! [`TableArena`](crate::routing_table) — so a `BucketRef` is a pair of
-//! borrowed slices plus metadata, obtained through
+//! [`TableArena`](crate::routing_table) — so a `BucketRef` is a borrowed
+//! slice of table entries plus metadata, obtained through
 //! [`TableRef::bucket`](crate::TableRef::bucket) /
 //! [`TableRef::buckets`](crate::TableRef::buckets).
 
 use crate::address::{AddressSpace, OverlayAddress};
+use crate::routing_table::Entry;
 use crate::topology::NodeId;
 
 /// A read view of a single routing-table bucket.
@@ -21,8 +22,7 @@ pub struct BucketRef<'a> {
     index: u32,
     capacity: usize,
     space: AddressSpace,
-    ids: &'a [u32],
-    raws: &'a [u64],
+    entries: &'a [Entry],
 }
 
 impl<'a> BucketRef<'a> {
@@ -30,16 +30,13 @@ impl<'a> BucketRef<'a> {
         index: u32,
         capacity: usize,
         space: AddressSpace,
-        ids: &'a [u32],
-        raws: &'a [u64],
+        entries: &'a [Entry],
     ) -> Self {
-        debug_assert_eq!(ids.len(), raws.len());
         Self {
             index,
             capacity,
             space,
-            ids,
-            raws,
+            entries,
         }
     }
 
@@ -58,34 +55,34 @@ impl<'a> BucketRef<'a> {
     /// Current number of peers.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.entries.len()
     }
 
     /// Whether the bucket holds no peers.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether the bucket is at capacity.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.ids.len() >= self.capacity
+        self.entries.len() >= self.capacity
     }
 
     /// Whether `node` is in this bucket.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.ids.contains(&(node.0 as u32))
+        self.entries.iter().any(|entry| entry.id as usize == node.0)
     }
 
     /// Iterates over `(NodeId, OverlayAddress)` entries in insertion
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, OverlayAddress)> + 'a {
         let bits = self.space.bits();
-        self.ids.iter().zip(self.raws).map(move |(&id, &raw)| {
+        self.entries.iter().map(move |&entry| {
             (
-                NodeId(id as usize),
-                OverlayAddress::from_raw_unchecked(raw, bits),
+                NodeId(entry.id as usize),
+                OverlayAddress::from_raw_unchecked(entry.raw, bits),
             )
         })
     }
@@ -99,11 +96,14 @@ mod tests {
         AddressSpace::new(16).unwrap()
     }
 
+    fn entries(pairs: &[(u32, u64)]) -> Vec<Entry> {
+        pairs.iter().map(|&(id, raw)| Entry { raw, id }).collect()
+    }
+
     #[test]
     fn metadata_and_iteration() {
-        let ids = [7u32, 9, 11];
-        let raws = [0x00F0u64, 0x00F1, 0x00F2];
-        let b = BucketRef::new(5, 20, space16(), &ids, &raws);
+        let entries = entries(&[(7, 0x00F0), (9, 0x00F1), (11, 0x00F2)]);
+        let b = BucketRef::new(5, 20, space16(), &entries);
         assert_eq!(b.index(), 5);
         assert_eq!(b.capacity(), 20);
         assert_eq!(b.len(), 3);
@@ -117,17 +117,16 @@ mod tests {
 
     #[test]
     fn fullness_uses_configured_capacity() {
-        let ids = [1u32, 2];
-        let raws = [1u64, 2];
-        let full = BucketRef::new(0, 2, space16(), &ids, &raws);
+        let entries = entries(&[(1, 1), (2, 2)]);
+        let full = BucketRef::new(0, 2, space16(), &entries);
         assert!(full.is_full());
-        let spare = BucketRef::new(0, 3, space16(), &ids, &raws);
+        let spare = BucketRef::new(0, 3, space16(), &entries);
         assert!(!spare.is_full());
     }
 
     #[test]
     fn empty_bucket() {
-        let b = BucketRef::new(3, 4, space16(), &[], &[]);
+        let b = BucketRef::new(3, 4, space16(), &[]);
         assert!(b.is_empty());
         assert_eq!(b.iter().count(), 0);
     }

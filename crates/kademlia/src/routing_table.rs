@@ -1,11 +1,12 @@
 //! Arena-backed routing tables and the bucket-ordered next-hop search.
 //!
-//! Every routing table of a topology lives in one contiguous
-//! structure-of-arrays arena ([`TableArena`]): peer ids and raw peer
-//! addresses in two flat slices, with each `(node, bucket)` pair owning a
-//! fixed `(offset, len)` slot range. Routing walks therefore touch
-//! consecutive cache lines instead of chasing `nodes × bits` little heap
-//! vectors, and building a 10⁵-node overlay performs a handful of
+//! Every routing table of a topology lives in one contiguous arena
+//! ([`TableArena`]): one flat array of 12-byte [`Entry`] records (a peer's
+//! raw address next to its node id), with each `(node, bucket)` pair
+//! owning a fixed `(offset, len)` slot range. A hop's bucket scan reads the
+//! raws it compares and the winner's id from the same cache lines, routing
+//! walks touch consecutive memory instead of chasing `nodes × bits` little
+//! heap vectors, and building a 10⁵-node overlay performs a handful of
 //! allocations instead of millions.
 //!
 //! The slot range reserved for bucket `b` of a node is
@@ -24,11 +25,24 @@ use crate::address::{AddressSpace, OverlayAddress, Proximity};
 use crate::bucket::BucketRef;
 use crate::topology::NodeId;
 
-/// Per-topology storage for all routing tables.
+/// One routing-table entry: a peer's raw overlay address and its node id.
 ///
-/// See the module docs for the layout. All indices are dense: node `i`'s
-/// bucket `b` is slot `i * bits + b`.
-/// Slot range of one bucket: start offset into the entry arrays plus
+/// Packed to 12 bytes (4-byte aligned), the same footprint as the two
+/// parallel `u32`/`u64` arrays it replaces, so a bucket of `k = 4` fits in
+/// one cache line together with the ids. Entries are always copied by
+/// value — a reference to the unaligned `raw` field is not allowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
+pub(crate) struct Entry {
+    /// The peer's raw overlay address.
+    pub raw: u64,
+    /// The peer's node id.
+    pub id: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 12);
+
+/// Slot range of one bucket: start offset into the entry array plus
 /// current occupancy, packed into 8 bytes so a hop's bucket lookup costs
 /// one cache line (the reserved size is the next span's offset minus this
 /// one's, adjacent in memory).
@@ -38,13 +52,15 @@ struct BucketSpan {
     len: u32,
 }
 
+/// Per-topology storage for all routing tables.
+///
+/// See the module docs for the layout. All indices are dense: node `i`'s
+/// bucket `b` is slot `i * bits + b`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TableArena {
     bits: u32,
-    /// Peer node ids, all buckets of all nodes concatenated.
-    ids: Vec<u32>,
-    /// Raw peer addresses, parallel to `ids`.
-    raws: Vec<u64>,
+    /// Peer entries, all buckets of all nodes concatenated.
+    entries: Vec<Entry>,
     /// Per `(node, bucket)` slot ranges, plus one zero-length sentinel
     /// whose offset is the total entry count: bucket `s` owns slots
     /// `spans[s].offset .. spans[s + 1].offset` and occupies the first
@@ -56,31 +72,28 @@ pub(crate) struct TableArena {
 /// (possibly threaded) topology builder and concatenated into the arena
 /// by [`TableArena::assemble`]. Initial buckets are exactly full
 /// (`len == reserved`), so per-bucket lengths double as the reserved slot
-/// sizes. Batching whole worker ranges into three vectors — instead of
-/// three per owner — keeps build-time allocation counts flat in `n`.
+/// sizes. Batching whole worker ranges into two vectors — instead of
+/// two per owner — keeps build-time allocation counts flat in `n`.
 #[derive(Debug)]
 pub(crate) struct OwnerFill {
     /// Entries per bucket, `bits` values per owner, owners in range order.
     pub lens: Vec<u32>,
-    /// Peer ids, owners and buckets concatenated shallow-to-deep.
-    pub ids: Vec<u32>,
-    /// Raw peer addresses, parallel to `ids`.
-    pub raws: Vec<u64>,
+    /// Peer entries, owners and buckets concatenated shallow-to-deep.
+    pub entries: Vec<Entry>,
 }
 
 impl OwnerFill {
     pub(crate) fn new() -> Self {
         Self {
             lens: Vec::new(),
-            ids: Vec::new(),
-            raws: Vec::new(),
+            entries: Vec::new(),
         }
     }
 }
 
 impl TableArena {
     /// Concatenates range fills (in node order) into one arena. A
-    /// single-range build (the serial path) moves its three vectors into
+    /// single-range build (the serial path) moves its entry vector into
     /// place instead of copying — at 10⁵ nodes with `k = 20` that skips
     /// re-copying hundreds of megabytes.
     ///
@@ -114,32 +127,28 @@ impl TableArena {
             let spans = spans_of(fill.lens.iter().copied(), fill.lens.len());
             debug_assert_eq!(
                 spans.last().expect("never empty").offset as usize,
-                fill.ids.len()
+                fill.entries.len()
             );
             return Self {
                 bits,
-                ids: fill.ids,
-                raws: fill.raws,
+                entries: fill.entries,
                 spans,
             };
         }
 
         let buckets: usize = fills.iter().map(|f| f.lens.len()).sum();
-        let total: usize = fills.iter().map(|f| f.ids.len()).sum();
+        let total: usize = fills.iter().map(|f| f.entries.len()).sum();
         assert!(u32::try_from(total).is_ok(), "arena offset overflow");
-        let mut ids = Vec::with_capacity(total);
-        let mut raws = Vec::with_capacity(total);
+        let mut entries = Vec::with_capacity(total);
         for fill in &fills {
             debug_assert_eq!(fill.lens.len() % bits as usize, 0);
-            ids.extend_from_slice(&fill.ids);
-            raws.extend_from_slice(&fill.raws);
+            entries.extend_from_slice(&fill.entries);
         }
         let spans = spans_of(fills.iter().flat_map(|f| f.lens.iter().copied()), buckets);
         debug_assert_eq!(spans.last().expect("never empty").offset as usize, total);
         Self {
             bits,
-            ids,
-            raws,
+            entries,
             spans,
         }
     }
@@ -165,8 +174,7 @@ impl TableArena {
         });
         Self {
             bits,
-            ids: vec![0; total as usize],
-            raws: vec![0; total as usize],
+            entries: vec![Entry { raw: 0, id: 0 }; total as usize],
             spans,
         }
     }
@@ -188,18 +196,19 @@ impl TableArena {
         (self.spans[slot + 1].offset - self.spans[slot].offset) as usize
     }
 
-    /// The occupied `(ids, raws)` slices of one bucket.
+    /// The occupied entries of one bucket.
     #[inline]
-    pub(crate) fn bucket_entries(&self, node: usize, bucket: usize) -> (&[u32], &[u64]) {
+    pub(crate) fn bucket_entries(&self, node: usize, bucket: usize) -> &[Entry] {
         let span = self.spans[self.slot(node, bucket)];
         let start = span.offset as usize;
-        let end = start + span.len as usize;
-        (&self.ids[start..end], &self.raws[start..end])
+        &self.entries[start..start + span.len as usize]
     }
 
     /// Whether `peer` occupies the bucket.
     pub(crate) fn contains(&self, node: usize, bucket: usize, peer: u32) -> bool {
-        self.bucket_entries(node, bucket).0.contains(&peer)
+        self.bucket_entries(node, bucket)
+            .iter()
+            .any(|entry| entry.id == peer)
     }
 
     /// Appends `peer` to the bucket. Returns `false` (no insert) when the
@@ -213,11 +222,10 @@ impl TableArena {
         let start = span.offset as usize;
         let len = span.len as usize;
         let reserved = (self.spans[slot + 1].offset - span.offset) as usize;
-        if len >= reserved || self.ids[start..start + len].contains(&peer) {
+        if len >= reserved || self.contains(node, bucket, peer) {
             return false;
         }
-        self.ids[start + len] = peer;
-        self.raws[start + len] = raw;
+        self.entries[start + len] = Entry { raw, id: peer };
         self.spans[slot].len += 1;
         true
     }
@@ -229,15 +237,13 @@ impl TableArena {
         let span = self.spans[slot];
         let start = span.offset as usize;
         let len = span.len as usize;
-        let Some(pos) = self.ids[start..start + len]
+        let Some(pos) = self.entries[start..start + len]
             .iter()
-            .position(|&id| id == peer)
+            .position(|entry| entry.id == peer)
         else {
             return false;
         };
-        self.ids
-            .copy_within(start + pos + 1..start + len, start + pos);
-        self.raws
+        self.entries
             .copy_within(start + pos + 1..start + len, start + pos);
         self.spans[slot].len -= 1;
         true
@@ -266,15 +272,20 @@ impl TableArena {
         self.spans.iter().map(|span| span.len as usize).sum()
     }
 
-    /// `node`'s peer ids, shallowest bucket first, insertion order within
+    /// `node`'s entries, shallowest bucket first, insertion order within
     /// a bucket.
-    pub(crate) fn node_peers<'a>(&'a self, node: usize) -> impl Iterator<Item = u32> + 'a {
+    pub(crate) fn node_entries<'a>(&'a self, node: usize) -> impl Iterator<Item = Entry> + 'a {
         let bits = self.bits as usize;
-        (0..bits).flat_map(move |b| self.bucket_entries(node, b).0.iter().copied())
+        (0..bits).flat_map(move |b| self.bucket_entries(node, b).iter().copied())
+    }
+
+    /// `node`'s peer ids, in [`TableArena::node_entries`] order.
+    pub(crate) fn node_peers<'a>(&'a self, node: usize) -> impl Iterator<Item = u32> + 'a {
+        self.node_entries(node).map(|entry| entry.id)
     }
 
     /// The known peer of `node` strictly closest (XOR) to `target_raw`,
-    /// if any peer beats the owner's own distance.
+    /// if any peer beats the owner's own distance, as `(id, raw)`.
     ///
     /// Bucket-ordered search. With `p` the proximity order between owner
     /// and target:
@@ -311,21 +322,21 @@ impl TableArena {
         let span = self.spans[base + prox];
         if span.len > 0 {
             let start = span.offset as usize;
-            let raws = &self.raws[start..start + span.len as usize];
-            let mut best_i = 0usize;
-            let mut best_d = raws[0] ^ target_raw;
-            for (i, &raw) in raws.iter().enumerate().skip(1) {
-                let d = raw ^ target_raw;
+            let entries = &self.entries[start..start + span.len as usize];
+            let mut best = entries[0];
+            let mut best_d = best.raw ^ target_raw;
+            for &entry in &entries[1..] {
+                let d = entry.raw ^ target_raw;
                 if d < best_d {
                     best_d = d;
-                    best_i = i;
+                    best = entry;
                 }
             }
-            return Some((self.ids[start + best_i], raws[best_i]));
+            return Some((best.id, best.raw));
         }
 
         let mut best_d = own;
-        let mut best: Option<usize> = None;
+        let mut best: Option<Entry> = None;
         for bucket in prox + 1..bits as usize {
             let span = self.spans[base + bucket];
             // `shift` is the weight position of bit `bucket`; safe because
@@ -346,15 +357,15 @@ impl TableArena {
                 continue;
             }
             let start = span.offset as usize;
-            for i in start..start + span.len as usize {
-                let d = self.raws[i] ^ target_raw;
+            for &entry in &self.entries[start..start + span.len as usize] {
+                let d = entry.raw ^ target_raw;
                 if d < best_d {
                     best_d = d;
-                    best = Some(i);
+                    best = Some(entry);
                 }
             }
         }
-        best.map(|i| (self.ids[i], self.raws[i]))
+        best.map(|entry| (entry.id, entry.raw))
     }
 }
 
@@ -424,8 +435,8 @@ impl<'a> TableRef<'a> {
     }
 
     fn bucket_ref(&self, index: usize) -> BucketRef<'a> {
-        let (ids, raws) = self.arena.bucket_entries(self.owner.0, index);
-        BucketRef::new(index as u32, self.capacities[index], self.space, ids, raws)
+        let entries = self.arena.bucket_entries(self.owner.0, index);
+        BucketRef::new(index as u32, self.capacities[index], self.space, entries)
     }
 
     /// Iterate over all buckets, shallowest (bucket 0) first. Takes the
@@ -443,16 +454,11 @@ impl<'a> TableRef<'a> {
     /// Iterates over every known peer, shallowest bucket first.
     pub fn peers(&self) -> impl Iterator<Item = (NodeId, OverlayAddress)> + 'a {
         let bits = self.space.bits();
-        let arena = self.arena;
-        let node = self.owner.0;
-        (0..bits as usize).flat_map(move |b| {
-            let (ids, raws) = arena.bucket_entries(node, b);
-            ids.iter().zip(raws).map(move |(&id, &raw)| {
-                (
-                    NodeId(id as usize),
-                    OverlayAddress::from_raw_unchecked(raw, bits),
-                )
-            })
+        self.arena.node_entries(self.owner.0).map(move |entry| {
+            (
+                NodeId(entry.id as usize),
+                OverlayAddress::from_raw_unchecked(entry.raw, bits),
+            )
         })
     }
 

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::address::{AddressSpace, OverlayAddress};
 use crate::error::KademliaError;
-use crate::routing_table::{OwnerFill, TableArena, TableRef};
+use crate::routing_table::{Entry, OwnerFill, TableArena, TableRef};
 
 /// Index of a node in a [`Topology`].
 ///
@@ -261,8 +261,7 @@ impl TopologyBuilder {
             let mut fill = OwnerFill::new();
             fill.lens.reserve(owners.len() * bits);
             let entries = owners.len() * est_per_owner;
-            fill.ids.reserve(entries + entries / 8 + 64);
-            fill.raws.reserve(entries + entries / 8 + 64);
+            fill.entries.reserve(entries + entries / 8 + 64);
             for owner in owners {
                 let mut owner_rng = derive_rng(table_seed, owner, 0);
                 fill_table_sampled(
@@ -411,8 +410,10 @@ fn fill_table_sampled(
                 swaps.push((j, displaced));
             }
             let peer = index.node_at(sibling.start + pick);
-            fill.ids.push(peer as u32);
-            fill.raws.push(addresses[peer].raw());
+            fill.entries.push(Entry {
+                raw: addresses[peer].raw(),
+                id: peer as u32,
+            });
         }
         fill.lens.push(take as u32);
         range = same;
@@ -591,9 +592,36 @@ impl Topology {
     /// Panics if `from` is not part of this topology.
     #[inline]
     pub fn next_hop(&self, from: NodeId, target: OverlayAddress) -> Option<NodeId> {
+        self.next_hop_raw(from, self.addresses[from.0].raw(), target)
+            .map(|(next, _)| next)
+    }
+
+    /// [`Topology::next_hop`] for a caller that already holds `from`'s raw
+    /// address, returning the chosen peer's raw address with its id.
+    ///
+    /// A routing walk carries each hop's raw address into the next call
+    /// instead of reloading it from the address table, saving one
+    /// dependent cache miss per hop on overlays that outgrow the caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not part of this topology. `from_raw` must be
+    /// `from`'s own address (checked in debug builds).
+    #[inline]
+    pub fn next_hop_raw(
+        &self,
+        from: NodeId,
+        from_raw: u64,
+        target: OverlayAddress,
+    ) -> Option<(NodeId, u64)> {
+        debug_assert_eq!(
+            from_raw,
+            self.addresses[from.0].raw(),
+            "stale raw for {from}"
+        );
         self.arena
-            .next_hop(from.0, self.addresses[from.0].raw(), target.raw())
-            .map(|(id, _)| NodeId(id as usize))
+            .next_hop(from.0, from_raw, target.raw())
+            .map(|(id, raw)| (NodeId(id as usize), raw))
     }
 
     /// The known peers of `from` strictly closer (XOR) to `target` than
@@ -640,8 +668,7 @@ impl Topology {
             let mut best = [(u64::MAX, 0u32); STACK_LIMIT];
             let mut len = 0usize;
             for bucket in 0..bits {
-                let (ids, raws) = self.arena.bucket_entries(from.0, bucket);
-                for (&id, &raw) in ids.iter().zip(raws) {
+                for &Entry { raw, id } in self.arena.bucket_entries(from.0, bucket) {
                     let d = raw ^ target_raw;
                     if d >= own || (len == limit && d >= best[limit - 1].0) {
                         continue;
@@ -664,8 +691,7 @@ impl Topology {
 
         let mut ranked: Vec<(u64, u32)> = Vec::new();
         for bucket in 0..bits {
-            let (ids, raws) = self.arena.bucket_entries(from.0, bucket);
-            for (&id, &raw) in ids.iter().zip(raws) {
+            for &Entry { raw, id } in self.arena.bucket_entries(from.0, bucket) {
                 let d = raw ^ target_raw;
                 if d < own {
                     ranked.push((d, id));
@@ -844,7 +870,7 @@ impl Topology {
         // The subtree's first `bucket + 1` address bits: the owner's, with
         // the last one flipped.
         let prefix = (owner_addr.raw() >> (owner_addr.bits() - 1 - bucket as u32)) ^ 1;
-        let (_, members) = self.arena.bucket_entries(owner, bucket);
+        let members = self.arena.bucket_entries(owner, bucket);
         self.trie
             .nearest_live_outside(subtree, bucket as u32 + 1, prefix, owner_addr, members)
     }
@@ -1076,10 +1102,22 @@ impl Topology {
 /// visiting the peers it already holds. Trie nodes are a compact 16-byte
 /// representation (`u32` child indices with a sentinel) so million-node
 /// tries stay cache- and memory-friendly.
+///
+/// A jump table indexed by the first `jump_bits` address bits lets
+/// [`AddressTrie::closest`] skip the top of the walk: its root-to-depth
+/// descent is one lookup instead of `jump_bits` dependent node loads.
 #[derive(Debug, Clone)]
 struct AddressTrie {
     space: AddressSpace,
     nodes: Vec<TrieNode>,
+    /// `jump[p]`: the trie node at depth `jump_bits` holding the addresses
+    /// whose first `jump_bits` bits are `p`, or [`NIL`] when none does.
+    /// Nodes are never added or removed after build — churn only flips
+    /// live counts — so the table never needs rebuilding.
+    jump: Vec<u32>,
+    /// `min(floor(log2 n), bits - 1)`: at most `n` table entries, and the
+    /// jump always lands on a branch, never a leaf.
+    jump_bits: u32,
 }
 
 /// Sentinel for an absent trie child.
@@ -1109,11 +1147,38 @@ impl AddressTrie {
                 one: NIL,
                 live: 0,
             }],
+            jump: Vec::new(),
+            jump_bits: addresses.len().max(1).ilog2().min(space.bits() - 1),
         };
         for (i, addr) in addresses.iter().enumerate() {
             trie.insert(*addr, i);
         }
+        trie.jump = trie.jump_table();
         trie
+    }
+
+    /// The depth-`jump_bits` subtree of every `jump_bits`-bit prefix, by
+    /// one depth-first pass over the branches above that depth.
+    fn jump_table(&self) -> Vec<u32> {
+        let mut jump = vec![NIL; 1 << self.jump_bits];
+        // `(node, depth, prefix)`; depth-first keeps the stack to `2 ×
+        // jump_bits` entries.
+        let mut stack = vec![(0u32, 0u32, 0usize)];
+        while let Some((node, depth, prefix)) = stack.pop() {
+            if depth == self.jump_bits {
+                jump[prefix] = node;
+                continue;
+            }
+            let TrieNode::Branch { zero, one, .. } = self.nodes[node as usize] else {
+                unreachable!("leaves only exist at full depth");
+            };
+            for (child, bit) in [(zero, 0), (one, 1)] {
+                if child != NIL {
+                    stack.push((child, depth + 1, prefix << 1 | bit));
+                }
+            }
+        }
+        jump
     }
 
     fn subtree_live(&self, index: u32) -> u32 {
@@ -1239,37 +1304,51 @@ impl AddressTrie {
     /// shared prefix the same rule minimizes every lower-order XOR bit, so
     /// the walk reaches the true XOR-closest live leaf.
     ///
+    /// The walk starts at the jump table's subtree for the target's first
+    /// `jump_bits` bits when that subtree holds a live address: the root
+    /// walk would then follow the target's own bits down to it, so both
+    /// reach the same leaf. Otherwise it starts at the root.
+    ///
     /// # Panics
     ///
     /// Panics if the overlay has no live nodes (the mutation APIs keep at
     /// least two alive).
     fn closest(&self, target: OverlayAddress) -> NodeId {
         let bits = self.space.bits();
-        let mut current = 0usize;
-        for depth in 0..bits {
-            match &self.nodes[current] {
-                TrieNode::Leaf { node, live } => {
-                    debug_assert!(*live, "walk must stay inside live subtrees");
-                    return NodeId(*node as usize);
-                }
-                TrieNode::Branch { zero, one, .. } => {
-                    let (preferred, fallback) = if target.bit(depth) {
-                        (*one, *zero)
-                    } else {
-                        (*zero, *one)
-                    };
-                    let live_child = |child: u32| {
-                        (child != NIL && self.subtree_live(child) > 0).then_some(child)
-                    };
-                    current = live_child(preferred)
-                        .or_else(|| live_child(fallback))
-                        .expect("trie contains at least one live address")
-                        as usize;
-                }
-            }
+        let raw = target.raw();
+        // Topologies hold at least two nodes, so `jump_bits` is 0 only in a
+        // 1-bit space, and the shift stays under 64.
+        let jumped = self.jump[(raw >> (bits - self.jump_bits)) as usize];
+        let (mut current, mut depth) = if jumped != NIL && self.subtree_live(jumped) > 0 {
+            (jumped, self.jump_bits)
+        } else {
+            (0, 0)
+        };
+        while depth < bits {
+            let TrieNode::Branch { zero, one, .. } = self.nodes[current as usize] else {
+                unreachable!("leaves only exist at full depth");
+            };
+            let (preferred, fallback) = if (raw >> (bits - 1 - depth)) & 1 == 1 {
+                (one, zero)
+            } else {
+                (zero, one)
+            };
+            current = if preferred != NIL && self.subtree_live(preferred) > 0 {
+                preferred
+            } else {
+                debug_assert!(
+                    fallback != NIL && self.subtree_live(fallback) > 0,
+                    "trie contains at least one live address"
+                );
+                fallback
+            };
+            depth += 1;
         }
-        match &self.nodes[current] {
-            TrieNode::Leaf { node, .. } => NodeId(*node as usize),
+        match self.nodes[current as usize] {
+            TrieNode::Leaf { node, live } => {
+                debug_assert!(live, "walk must stay inside live subtrees");
+                NodeId(node as usize)
+            }
             TrieNode::Branch { .. } => unreachable!("walked past all bits"),
         }
     }
@@ -1375,8 +1454,8 @@ impl AddressTrie {
     /// one of `members`, if any.
     ///
     /// `subtree`'s root sits at `depth`, and `prefix` holds its addresses'
-    /// first `depth` bits. Every raw in `members` must be a distinct live
-    /// address inside the subtree — a bucket's current entries. At each
+    /// first `depth` bits. `members` are a bucket's current entries: every
+    /// raw among them must be a distinct live address inside the subtree. At each
     /// branch the walk compares the preferred child's live count with how
     /// many members share that child's prefix, and enters it only when it
     /// holds a live non-member. The walk therefore never backtracks: it
@@ -1388,7 +1467,7 @@ impl AddressTrie {
         depth: u32,
         prefix: u64,
         target: OverlayAddress,
-        members: &[u64],
+        members: &[Entry],
     ) -> Option<usize> {
         // Members inside the current subtree; all of them are live.
         let mut inside = members.len() as u32;
@@ -1411,7 +1490,7 @@ impl AddressTrie {
             } else {
                 members
                     .iter()
-                    .filter(|&&raw| raw >> shift == preferred_prefix)
+                    .filter(|&&Entry { raw, .. }| raw >> shift == preferred_prefix)
                     .count() as u32
             };
             // Invariant: `current` holds more live nodes than members, so
@@ -2130,6 +2209,112 @@ mod tests {
                 }
             }
             prop_assert!(floor_hits > 0, "the drain must reach the live floor");
+        }
+    }
+
+    // ---- closest-node jump table against a live scan -------------------
+
+    /// The XOR-closest live node by scanning every slot.
+    fn closest_by_scan(t: &Topology, target: OverlayAddress) -> NodeId {
+        t.live_ids()
+            .min_by_key(|n| t.space().distance(t.address(*n), target))
+            .expect("at least two nodes stay live")
+    }
+
+    /// Non-power-of-two node counts from 5 to 511, so the jump depth
+    /// `floor(log2 n)` leaves some prefixes empty or thinly populated.
+    fn non_power_of_two_nodes() -> impl Strategy<Value = usize> {
+        (2u32..=8, any::<usize>()).prop_map(|(j, r)| (1 << j) + 1 + r % ((1 << j) - 1))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// After every join, leave and prefix-wide outage — a mixed phase,
+        /// a drain to the live floor and a regrowth — the jump-table walk
+        /// returns exactly the live scan's closest node. Targets include
+        /// addresses under the prefix of the last outage, whose jump
+        /// subtree is then wholly offline and forces the root walk, and
+        /// every node's own address.
+        #[test]
+        fn closest_node_matches_a_live_scan_under_churn(
+            bits in 8u32..=22,
+            nodes in non_power_of_two_nodes(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let nodes = nodes.min((1usize << bits) - 1);
+            let mut t = TopologyBuilder::new(space(bits))
+                .nodes(nodes)
+                .bucket_size(2)
+                .seed(seed)
+                .build()
+                .unwrap();
+            let m = t.trie.jump_bits;
+            prop_assert_eq!(m, (nodes.ilog2()).min(bits - 1));
+            prop_assert!(t.trie.jump.len() <= nodes);
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mut dark_prefix = 0u64;
+            let mut outages = 0;
+            let check = |t: &Topology, rng: &mut ChaCha12Rng, dark_prefix: u64| {
+                let max = t.space().max_raw();
+                let low_bits = bits - m;
+                let mut targets: Vec<u64> = (0..6).map(|_| rng.gen_range(0..=max)).collect();
+                targets.extend((0..6).map(|_| {
+                    dark_prefix << low_bits | rng.gen_range(0..(1u64 << low_bits))
+                }));
+                for raw in targets {
+                    let target = t.space().address(raw).unwrap();
+                    if t.closest_node(target) != closest_by_scan(t, target) {
+                        return Err(format!("target {raw:#x}"));
+                    }
+                }
+                Ok(())
+            };
+            for (phase, ops, remove_weight) in [(0, 24usize, 50u32), (1, nodes, 100), (2, 24, 0)] {
+                for _ in 0..ops {
+                    let live: Vec<usize> = t.live_ids().map(|n| n.index()).collect();
+                    let offline: Vec<usize> =
+                        (0..nodes).filter(|&i| !t.is_live(NodeId(i))).collect();
+                    let roll = rng.gen_range(0..100u32);
+                    if offline.is_empty() || roll < remove_weight {
+                        if live.len() <= 2 {
+                            let victim = NodeId(live[0]);
+                            prop_assert_eq!(
+                                t.remove_node(victim),
+                                Err(KademliaError::TooFewLiveNodes { live: 2 })
+                            );
+                        } else if roll % 4 == 0 {
+                            // Outage: every live node under one jump prefix.
+                            let anchor = t.address(NodeId(live[rng.gen_range(0..live.len())]));
+                            dark_prefix = anchor.raw() >> (bits - m);
+                            for node in live {
+                                if t.live_count() > 2
+                                    && t.address(NodeId(node)).raw() >> (bits - m) == dark_prefix
+                                {
+                                    t.remove_node(NodeId(node)).unwrap();
+                                }
+                            }
+                            outages += 1;
+                        } else {
+                            let victim = live[rng.gen_range(0..live.len())];
+                            t.remove_node(NodeId(victim)).unwrap();
+                        }
+                    } else {
+                        let joiner = offline[rng.gen_range(0..offline.len())];
+                        t.add_node(NodeId(joiner)).unwrap();
+                    }
+                    let checked = check(&t, &mut rng, dark_prefix);
+                    prop_assert!(checked.is_ok(), "phase {}: {:?}", phase, checked);
+                }
+                if phase == 1 {
+                    prop_assert_eq!(t.live_count(), 2, "the drain must reach the live floor");
+                }
+            }
+            prop_assert!(outages > 0, "no prefix outage was exercised");
+            for node in t.node_ids() {
+                let target = t.address(node);
+                prop_assert_eq!(t.closest_node(target), closest_by_scan(&t, target));
+            }
         }
     }
 }

@@ -220,9 +220,10 @@ fn handle_connection(
 }
 
 fn error_body(message: &dyn std::fmt::Display) -> String {
-    // The service controls every message below; none contain quotes, so
-    // plain formatting is JSON-safe.
-    format!("{{\"error\":\"{message}\"}}\n")
+    // Spec errors echo user input (field names, enum values), so the
+    // message is written as an escaped JSON string, never pasted raw.
+    let message = serde_json::to_string(&message.to_string()).expect("a string serializes");
+    format!("{{\"error\":{message}}}\n")
 }
 
 fn job_body(job: &Job) -> String {

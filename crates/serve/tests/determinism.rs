@@ -186,6 +186,34 @@ fn invalid_and_unknown_requests_get_structured_errors() {
 }
 
 #[test]
+fn spec_errors_echoing_quotes_still_get_a_json_error_body() {
+    let server = TestServer::start(1, 4);
+    let mut client = Client::new(server.addr);
+
+    // The spec error names the unknown distribution, quote and all. It
+    // used to be pasted unescaped into the body, which then was not JSON.
+    let rejected = client
+        .request(
+            "POST",
+            "/submit",
+            br#"{"workload":{"chunk_dist":"Zi\"pf"}}"#,
+        )
+        .expect("submit");
+    assert_eq!(rejected.status, 400, "{}", rejected.text());
+    let body: serde::Value =
+        serde_json::from_str(rejected.text().trim()).expect("the 400 body is valid JSON");
+    let fields = body.as_object().expect("a JSON object");
+    let error = match fields.iter().find(|(name, _)| name == "error") {
+        Some((_, serde::Value::Str(error))) => error,
+        other => panic!("no string `error` field: {other:?}"),
+    };
+    assert!(error.contains("Zi\"pf"), "{error}");
+
+    let summary = server.stop();
+    assert_eq!(summary.jobs, 0);
+}
+
+#[test]
 fn deeply_nested_submit_gets_an_error_and_the_service_survives() {
     let server = TestServer::start(1, 4);
     let mut client = Client::new(server.addr);

@@ -715,9 +715,13 @@ impl DownloadSim {
         let max_detours = self.route.max_detours();
         let step = self.step;
 
+        // Each hop's raw address travels with it into the next lookup, so
+        // the walk never reloads it from the address table.
         let mut current = originator;
+        let mut current_raw = topology.address(originator).raw();
         let (outcome, from_cache) = loop {
-            let Some(mut next) = topology.next_hop(current, chunk) else {
+            let Some((mut next, mut next_raw)) = topology.next_hop_raw(current, current_raw, chunk)
+            else {
                 break (RouteOutcome::Stuck, false);
             };
             if let Some(capacities) = capacities {
@@ -754,11 +758,13 @@ impl DownloadSim {
                         self.stats.add_detoured();
                     }
                     next = fallback;
+                    next_raw = topology.address(fallback).raw();
                 }
                 used_in_step[next.index()] += 1;
             }
             hops.push(next);
             current = next;
+            current_raw = next_raw;
             if current == storer {
                 break (RouteOutcome::Delivered, false);
             }
@@ -1098,6 +1104,55 @@ mod tests {
         assert!(!b.hops.contains(&starved));
         assert!(detour.stats().detoured() > 0);
         assert_eq!(detour.stats().capacity_blocked(), 0);
+    }
+
+    #[test]
+    fn walk_resumes_from_the_detour_fallbacks_own_address() {
+        // The walk carries each hop's raw address into the next lookup; a
+        // detour swaps the hop, so the raw must be the fallback's, not the
+        // saturated greedy choice's. Every hop after the detour must then
+        // be the plain greedy walk from the fallback.
+        let t = topology(300, 4, 29);
+        let space = t.space();
+        let mut checked = 0;
+        for raw in (0..=0xFFFFu64).step_by(4099) {
+            let chunk = space.address(raw).unwrap();
+            let storer = t.closest_node(chunk);
+            let originator = t
+                .node_ids()
+                .max_by_key(|n| space.distance(t.address(*n), chunk))
+                .unwrap();
+            let mut probe = DownloadSim::new(t.clone(), CachePolicy::None);
+            let greedy = probe.request_chunk(originator, chunk);
+            if !greedy.delivered() || greedy.hops.len() < 3 {
+                continue;
+            }
+            let mut budgets = vec![u64::MAX; 300];
+            budgets[greedy.hops[0].index()] = 1;
+            let mut sim = DownloadSim::new(t.clone(), CachePolicy::None);
+            sim.set_route_policy(RoutePolicy::CapacityDetour { max_detours: 4 });
+            sim.set_capacities(budgets);
+            assert_eq!(sim.request_chunk(originator, chunk).hops, greedy.hops);
+            let detoured = sim.request_chunk(originator, chunk);
+            assert_eq!(sim.stats().detoured(), 1, "chunk {raw:#06x}");
+
+            let mut ranked = Vec::new();
+            t.next_hops_into(originator, chunk, 2, &mut ranked);
+            let fallback = ranked[1];
+            let mut expected = vec![fallback];
+            let mut at = fallback;
+            while at != storer {
+                let Some(next) = t.next_hop(at, chunk) else {
+                    break;
+                };
+                expected.push(next);
+                at = next;
+            }
+            assert_eq!(detoured.hops, expected, "chunk {raw:#06x}");
+            assert_eq!(detoured.delivered(), at == storer);
+            checked += 1;
+        }
+        assert!(checked >= 5, "only {checked} multi-hop routes exercised");
     }
 
     #[test]
